@@ -35,6 +35,7 @@ from repro.lang.composite import CompositePlan
 from repro.lang.gtravel import GTravel
 from repro.lang.plan import TraversalPlan
 from repro.net.topology import INFINIBAND_QDR, NetworkModel
+from repro.obs import Observability
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.telemetry import TelemetryConfig, TelemetryPlane
 from repro.obs.trace import SamplingPolicy
@@ -73,12 +74,13 @@ class ClusterConfig:
     #: (real OS threads; functional cross-validation — timings are wall clock
     #: and nondeterministic).
     runtime: str = "simulated"
-    #: "grouped" (paper layout: same-label edges contiguous), "interleaved"
-    #: (generic column layout; the §IV-B ablation baseline), or "columnar"
-    #: (delta/varint-compressed per-(vertex, label) adjacency blocks,
-    #: DESIGN.md §16). Unknown names raise the typed
-    #: :class:`~repro.errors.UnknownEdgeLayout` at build time.
-    edge_layout: str = "grouped"
+    #: "columnar" (delta/varint-compressed per-(vertex, label) adjacency
+    #: blocks, DESIGN.md §16), or, for the paper's §IV-B layout ablation,
+    #: "grouped" (entry per edge, same-label edges contiguous) and
+    #: "interleaved" (entry per edge in insertion order). Unknown names
+    #: raise the typed :class:`~repro.errors.UnknownEdgeLayout` at build
+    #: time.
+    edge_layout: str = "columnar"
     #: declarative fault injection (drops/dups/delays/crashes); replaces the
     #: raw ``runtime.drop_filter`` hook as the supported injection point.
     fault_plan: Optional[FaultPlan] = None
@@ -201,7 +203,10 @@ class Cluster:
         # table so shard migrations can move ownership under live traffic
         routing = RoutingTable(partitioner.owner, config.nservers)
         registry = TravelRegistry()
-        board = StatsBoard(opts.kind)
+        # the registry locks only when real threads record into it
+        board = StatsBoard(
+            opts.kind, Observability(thread_safe=config.runtime == "threaded")
+        )
         lsm_config = LSMConfig(
             block_cache_blocks=config.block_cache_blocks,
             cost_model=config.disk_model,

@@ -4,7 +4,8 @@ One :class:`AsyncServerEngine` runs on every backend server. Message flow:
 
 1. :class:`~repro.net.message.TraverseRequest` arrives → coalesce into the
    pending work unit for its (travel, level) if one is still queued (the
-   absorbed execution terminates immediately), else enqueue a new unit.
+   absorbed execution terminates when that unit has been processed), else
+   enqueue a new unit.
 2. A worker pops the queue — smallest step id first when execution
    scheduling is enabled (§V-B) — and processes the unit's vertices:
    traversal-affiliate cache check (§V-A), execution merging against other
@@ -32,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.engine.batch import BatchFrontier, batch_eligible
+from repro.engine.batch import BatchFrontier
 from repro.engine.cache import TraversalAffiliateCache
 from repro.engine.frontier import (
     EMPTY_ANCHORS,
@@ -46,7 +47,7 @@ from repro.engine.statistics import StatsBoard
 from repro.engine.visit import (
     ExpandSinks,
     VisitData,
-    expand_vertex,
+    edge_props_needed,
     labels_needed,
     needs_props,
     read_vertex,
@@ -83,7 +84,10 @@ class PendingWork:
     entries: Entries
     exec_id: ExecId
     all_sources: bool = False
-    absorbed: int = 0
+    #: (exec id, epoch) of the requests coalesced into this unit; they
+    #: report termination with the unit, so a unit lost in a crash leaves
+    #: them pending for the coordinator to replay from their creators
+    absorbed_execs: list[tuple[ExecId, int]] = field(default_factory=list)
     enqueued_at: float = 0.0
     #: coordinator epoch echoed from the request that opened the unit
     epoch: int = 0
@@ -91,6 +95,10 @@ class PendingWork:
     n_real: int = 0
     n_cache_hits: int = 0
     n_combined: int = 0
+
+    @property
+    def absorbed(self) -> int:
+        return len(self.absorbed_execs)
 
     @property
     def travel_id(self) -> TravelId:
@@ -189,18 +197,11 @@ class AsyncServerEngine:
         work = self._pending.get(key)
         if work is not None:
             # Queue coalescing: union into the waiting unit; the absorbed
-            # execution terminates immediately, having created nothing.
+            # execution terminates with it, having created nothing.
             merge_entries(work.entries, msg.entries)
             work.all_sources = work.all_sources or msg.all_sources
-            work.absorbed += 1
+            work.absorbed_execs.append((msg.exec_id, msg.epoch))
             self.metrics.count("engine.coalesced", server=server)
-            self._record_terminated(
-                msg.travel_id, msg.exec_id, msg.level, msg.attempt, "coalesced"
-            )
-            self._report_status(
-                msg.travel_id, msg.attempt, msg.exec_id, (), 0, msg.level,
-                epoch=msg.epoch,
-            )
             return
         work = PendingWork(
             travel_key=tkey,
@@ -280,6 +281,7 @@ class AsyncServerEngine:
             self._report_status(
                 travel_id, attempt, work.exec_id, (), 0, work.level, epoch=work.epoch
             )
+            self._terminate_absorbed(work, "stale")
             return
         plan = entry.plan
         level = work.level
@@ -313,20 +315,16 @@ class AsyncServerEngine:
 
         sinks = ExpandSinks()
         decoded0 = self.store.decoded_blocks
-        batch_width = 0
-        if batch_eligible(self.opts, plan):
-            batch_width = yield from self._process_batched(
-                work, plan, level, items, sinks, level0_override, unit_span
-            )
-        else:
-            first_in_batch = True
-            for vid, anchors in items:
-                did_io = yield from self._visit(
-                    work, plan, level, vid, anchors, sinks, rtn_levels,
-                    level0_override, first_in_batch, unit_span,
-                )
-                if did_io:
-                    first_in_batch = False
+        batch_width = yield from self._expand_unit(
+            work, plan, level, items, sinks, rtn_levels, level0_override, unit_span
+        )
+        # visit accounting, once per unit
+        self.board.visit(travel_id, server, "real", work.n_real)
+        self.board.visit(travel_id, server, "redundant", work.n_cache_hits)
+        self.board.visit(travel_id, server, "combined", work.n_combined)
+        self.metrics.count("engine.real_visits", work.n_real, server=server)
+        self.metrics.count("cache.affiliate_hits", work.n_cache_hits, server=server)
+        self.metrics.count("engine.merged_items", work.n_combined, server=server)
 
         created, results_sent = self._flush(work, plan, sinks, entry.epoch)
         self.spans.end(unit_span, vertices=len(items), created=len(created))
@@ -346,6 +344,17 @@ class AsyncServerEngine:
             travel_id, attempt, work.exec_id, tuple(created), results_sent, level,
             epoch=entry.epoch,
         )
+        self._terminate_absorbed(work, "coalesced")
+
+    def _terminate_absorbed(self, work: PendingWork, reason: str) -> None:
+        """Report the executions coalesced into ``work`` as terminated, now
+        that the unit carrying their entries has been processed."""
+        travel_id, attempt = work.travel_key
+        for exec_id, epoch in work.absorbed_execs:
+            self._record_terminated(travel_id, exec_id, work.level, attempt, reason)
+            self._report_status(
+                travel_id, attempt, exec_id, (), 0, work.level, epoch=epoch
+            )
 
     def _level0_override(
         self, work: PendingWork, entry: TravelEntry
@@ -362,25 +371,23 @@ class AsyncServerEngine:
             return sorted(self.store.local_vertices_of_type(info.index_type))
         return sorted(self.store.local_vertices())
 
-    # -- batched unit body (DESIGN.md §16) ---------------------------------------------
+    # -- unit body (DESIGN.md §16) ----------------------------------------------------
 
-    def _process_batched(
+    def _expand_unit(
         self,
         work: PendingWork,
         plan,
         level: int,
         items: list[tuple[VertexId, Anchors]],
         sinks: ExpandSinks,
+        rtn_levels: tuple[int, ...],
         level0_override: Optional[FilterSet],
         unit_span: int,
     ):
-        """Batch-vectorized unit body: per-vertex I/O, cache, visit, and
-        execution-merging accounting identical to :meth:`_visit`, with
-        current-level expansion deferred to one
-        :class:`~repro.engine.batch.BatchFrontier` pass at the end. Merged
-        same-vertex requests at *other* levels (§V-B) share this vertex's
-        disk access and expand immediately per-vertex — they belong to
-        different frontiers than the batch.
+        """Serve a unit's vertices: per vertex, the traversal-affiliate cache
+        check (§V-A), execution merging against other queued levels (§V-B)
+        and one disk access serving every merged level; then expand one
+        :class:`~repro.engine.batch.BatchFrontier` per level at the end.
 
         The unit's reads are coalesced into chunks of
         ``opts.batch_io_chunk`` vertices: per-vertex costs (seek discount
@@ -390,16 +397,22 @@ class AsyncServerEngine:
         whole unit) keeps virtual time advancing mid-unit, which is what
         lets later vertices merge same-vertex requests that arrive while
         earlier chunks are on the disk.
-        Returns the batch width (vertices surviving the level's filters).
+        Returns the batch width (vertices surviving the unit level's filters).
         """
-        travel_id = work.travel_id
-        server = self.ctx.server_id
         tkey = work.travel_key
-        batch = BatchFrontier(plan, level, level0_override)
+        store, opts = self.store, self.opts
+        # bound once: a crash mid-unit swaps in a fresh cache, and the claims
+        # of a unit that outlives the crash must not suppress the replays
+        seen = self.seen
+        frontiers = {level: BatchFrontier(plan, level, rtn_levels, level0_override)}
         want_labels = labels_needed(plan, [level])
         want_props = needs_props(plan, [level], level0_override)
+        want_edge_props = edge_props_needed(plan, [level])
         edge_preds: Optional[dict[str, FilterSet]] = None
         if plan.pushdown and level < plan.final_level:
+            # predicate pushdown: single-level visits hand the step's edge
+            # filters to the storage scan (merged multi-level visits keep
+            # the unfiltered block — other levels may need other edges)
             step = plan.steps[level]
             if step.edge_filters:
                 edge_preds = {l: step.edge_filters for l in step.labels}
@@ -407,71 +420,72 @@ class AsyncServerEngine:
         n_accesses = 0
         first_in_batch = True
         for vid, anchors in items:
-            if not self.store.has_vertex(vid):
-                continue
-            if self.opts.cache_enabled:
-                stored = self.seen.lookup(tkey, level, vid)
+            if not store.has_vertex(vid):
+                continue  # dangling dispatch; nothing stored here
+            if opts.cache_enabled:
+                stored = seen.lookup(tkey, level, vid)
                 if stored is not None and anchors_covered(anchors, stored):
-                    self.board.visit(travel_id, server, "redundant")
-                    self.metrics.count("cache.affiliate_hits", server=server)
+                    # Traversal-affiliate cache hit: safely abandon the request.
                     work.n_cache_hits += 1
                     continue
             merged: list[tuple[int, Anchors]] = []
-            if self.opts.merge_enabled:
+            if opts.merge_enabled:
                 merged = self._extract_merged(tkey, vid, level)
-                if merged:
-                    self.metrics.count(
-                        "engine.merged_items", len(merged), server=server
-                    )
             if merged:
                 levels = [level] + [lvl for lvl, _ in merged]
                 w_labels = labels_needed(plan, levels)
                 w_props = needs_props(plan, levels, level0_override)
+                w_edge_props = edge_props_needed(plan, levels)
                 e_preds = None  # other levels may need other edges
             else:
                 w_labels, w_props, e_preds = want_labels, want_props, edge_preds
+                w_edge_props = want_edge_props
             if w_labels or w_props:
-                data = read_vertex(self.store, vid, w_labels, w_props, e_preds)
+                data = read_vertex(store, vid, w_labels, w_props, e_preds, w_edge_props)
                 cost = data.cost
                 if not first_in_batch and cost.seeks:
-                    cost.seeks *= self.opts.batch_seek_factor
+                    cost.seeks *= opts.batch_seek_factor
+                # Execution merging shares the seek/scan, but each merged
+                # item still decodes the block it needs (one re-read from
+                # cache).
                 cost.cache_hits += len(merged)
                 total_cost += cost
                 n_accesses += 1
                 if cost.seeks > 0 or cost.blocks > 0:
                     first_in_batch = False
-                if n_accesses >= self.opts.batch_io_chunk:
+                if n_accesses >= opts.batch_io_chunk:
                     yield from self._flush_batch_io(
                         total_cost, n_accesses, level, unit_span
                     )
                     total_cost = IOCost()
                     n_accesses = 0
             else:
+                # Nothing to read (e.g. unfiltered final level): served from
+                # the request itself, still one real visit for accounting.
                 data = VisitData(props=None, edges={}, cost=IOCost())
-            self.board.visit(travel_id, server, "real")
-            self.metrics.count("engine.real_visits", server=server)
             work.n_real += 1
-            vertex_type = self.store.namespace_of(vid)
-            stored = self.seen.lookup(tkey, level, vid)
-            if stored is None or not anchors_covered(anchors, stored):
-                self.seen.insert(tkey, level, vid, anchors)
-                batch.add(vid, data, vertex_type)
-            if merged:
-                self.board.visit(travel_id, server, "combined", len(merged))
-                work.n_combined += len(merged)
-                for lvl, anc in merged:
-                    stored = self.seen.lookup(tkey, lvl, vid)
-                    if stored is not None and anchors_covered(anc, stored):
-                        continue
-                    self.seen.insert(tkey, lvl, vid, anc)
-                    expand_vertex(
-                        plan, lvl, vid, anc, data, self.owner_fn, sinks, (),
-                        vertex_type, level0_override if lvl == 0 else None,
+            work.n_combined += len(merged)
+            vertex_type = store.namespace_of(vid)
+            for lvl, anc in [(level, anchors), *merged]:
+                stored = seen.lookup(tkey, lvl, vid)
+                if stored is not None and anchors_covered(anc, stored):
+                    # Already expanded with these anchors (post-I/O duplicate
+                    # in Async-GT, or a merged item another path served
+                    # first): skip the downstream dispatch to preserve
+                    # termination.
+                    continue
+                seen.insert(tkey, lvl, vid, anc)
+                frontier = frontiers.get(lvl)
+                if frontier is None:
+                    frontier = frontiers[lvl] = BatchFrontier(
+                        plan, lvl, rtn_levels, level0_override if lvl == 0 else None
                     )
+                frontier.add(vid, anc, data, vertex_type)
         if n_accesses:
             yield from self._flush_batch_io(total_cost, n_accesses, level, unit_span)
-        batch.expand(self.owner_fn, sinks)
-        return batch.width
+        for lvl in sorted(frontiers):
+            frontiers[lvl].expand(self.owner_fn, sinks)
+        return frontiers[level].width
 
     def _flush_batch_io(self, cost: IOCost, accesses: int, level: int, unit_span: int):
         """Sleep one coalesced disk access covering ``accesses`` vertex reads."""
@@ -486,100 +500,6 @@ class AsyncServerEngine:
             "disk.access_seconds", self.ctx.now() - io_start, server=server
         )
         self.spans.end(disk_span)
-
-    # -- per-vertex visit ------------------------------------------------------------
-
-    def _visit(
-        self,
-        work: PendingWork,
-        plan,
-        level: int,
-        vid: VertexId,
-        anchors: Anchors,
-        sinks: ExpandSinks,
-        rtn_levels: tuple[int, ...],
-        level0_override: Optional[FilterSet],
-        first_in_batch: bool,
-        unit_span: int = 0,
-    ):
-        """Serve one vertex request; returns True if it reached the disk."""
-        travel_id = work.travel_id
-        server = self.ctx.server_id
-        tkey = work.travel_key
-        if not self.store.has_vertex(vid):
-            return False  # dangling dispatch; nothing stored here
-        if self.opts.cache_enabled:
-            stored = self.seen.lookup(tkey, level, vid)
-            if stored is not None and anchors_covered(anchors, stored):
-                # Traversal-affiliate cache hit: safely abandon the request.
-                self.board.visit(travel_id, server, "redundant")
-                self.metrics.count("cache.affiliate_hits", server=server)
-                work.n_cache_hits += 1
-                return False
-
-        todo: list[tuple[int, Anchors]] = [(level, anchors)]
-        if self.opts.merge_enabled:
-            todo.extend(self._extract_merged(tkey, vid, level))
-            if len(todo) > 1:
-                self.metrics.count("engine.merged_items", len(todo) - 1, server=server)
-
-        levels = [lvl for lvl, _ in todo]
-        want_labels = labels_needed(plan, levels)
-        want_props = needs_props(plan, levels, level0_override)
-        edge_preds: Optional[dict[str, FilterSet]] = None
-        if plan.pushdown and len(todo) == 1 and level < plan.final_level:
-            # predicate pushdown: single-level visits hand the step's edge
-            # filters to the storage scan (merged multi-level visits keep
-            # the unfiltered block — other levels may need other edges)
-            step = plan.steps[level]
-            if step.edge_filters:
-                edge_preds = {l: step.edge_filters for l in step.labels}
-        if not want_labels and not want_props:
-            # Nothing to read (e.g. unfiltered final level): served from the
-            # request itself, still one real visit for accounting.
-            data = None
-        else:
-            data = read_vertex(
-                self.store, vid, want_labels, want_props, edge_preds
-            )
-            cost = data.cost
-            if not first_in_batch and cost.seeks:
-                cost.seeks *= self.opts.batch_seek_factor
-            # Execution merging shares the seek/scan, but each merged item
-            # still decodes the block it needs (one re-read from cache).
-            cost.cache_hits += len(todo) - 1
-            disk_span = self.spans.begin(
-                "disk", f"v{vid}", parent=unit_span, server=server, level=level
-            )
-            io_start = self.ctx.now()
-            yield self.ctx.disk(cost, level=level, accesses=1)
-            self.metrics.observe(
-                "disk.access_seconds", self.ctx.now() - io_start, server=server
-            )
-            self.spans.end(disk_span)
-
-        self.board.visit(travel_id, server, "real")
-        self.board.visit(travel_id, server, "combined", len(todo) - 1)
-        self.metrics.count("engine.real_visits", server=server)
-        work.n_real += 1
-        work.n_combined += len(todo) - 1
-
-        vertex_type = self.store.namespace_of(vid)
-        if data is None:
-            data = VisitData(props=None, edges={}, cost=IOCost())
-        for lvl, anc in todo:
-            stored = self.seen.lookup(tkey, lvl, vid)
-            if stored is not None and anchors_covered(anc, stored):
-                # Already expanded with these anchors (post-I/O duplicate in
-                # Async-GT, or a merged item another path served first):
-                # skip the downstream dispatch to preserve termination.
-                continue
-            self.seen.insert(tkey, lvl, vid, anc)
-            expand_vertex(
-                plan, lvl, vid, anc, data, self.owner_fn, sinks, rtn_levels,
-                vertex_type, level0_override if lvl == 0 else None,
-            )
-        return data.cost.seeks > 0 or data.cost.blocks > 0
 
     def _extract_merged(
         self, tkey: TravelKey, vid: VertexId, level: int

@@ -28,6 +28,8 @@ def anchors_covered(candidate: Anchors, stored: Anchors) -> bool:
     Entries whose anchors are covered are redundant: every return they could
     produce has already been propagated.
     """
+    if not candidate:  # anchor-free plans: the common fast path
+        return not stored
     if len(candidate) != len(stored):
         # Can only happen across different levels; treat as not covered.
         return False
@@ -58,6 +60,14 @@ def merge_entry(entries: Entries, vid: VertexId, anchors: Anchors) -> None:
 
 
 def merge_entries(dst: Entries, src: Entries) -> None:
-    """Union ``src`` into ``dst`` (coalescing two requests)."""
+    """Union ``src`` into ``dst`` (coalescing two requests).
+
+    All entries of one (traversal, level) carry anchor tuples of the same
+    length, so an anchor-free ``src`` means an anchor-free ``dst`` and the
+    union is a plain ``dict.update``.
+    """
+    if not any(src.values()):
+        dst.update(src)
+        return
     for vid, anchors in src.items():
         merge_entry(dst, vid, anchors)

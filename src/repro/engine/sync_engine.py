@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from repro.engine.batch import BatchFrontier, batch_eligible
+from repro.engine.batch import BatchFrontier
 from repro.engine.frontier import EMPTY_ANCHORS, intermediate_rtn_levels, merge_entries
 from repro.engine.options import EngineOptions
 from repro.engine.registry import TravelEntry, TravelRegistry
@@ -32,7 +32,7 @@ from repro.engine.statistics import StatsBoard
 from repro.engine.visit import (
     ExpandSinks,
     VisitData,
-    expand_vertex,
+    edge_props_needed,
     labels_needed,
     needs_props,
     read_vertex,
@@ -199,11 +199,8 @@ class SyncServerEngine:
             step_ = plan.steps[level]
             if step_.edge_filters:
                 edge_preds = {l: step_.edge_filters for l in step_.labels}
-        batch: Optional[BatchFrontier] = (
-            BatchFrontier(plan, level, level0_override)
-            if batch_eligible(self.opts, plan)
-            else None
-        )
+        want_edge_props = edge_props_needed(plan, [level])
+        batch = BatchFrontier(plan, level, rtn_levels, level0_override)
         decoded0 = self.store.decoded_blocks
         first_in_batch = True
         n_real = 0
@@ -212,7 +209,8 @@ class SyncServerEngine:
                 continue
             if want_labels or want_props:
                 data = read_vertex(
-                    self.store, vid, want_labels, want_props, edge_preds
+                    self.store, vid, want_labels, want_props, edge_preds,
+                    want_edge_props,
                 )
                 cost = data.cost
                 if not first_in_batch and cost.seeks:
@@ -229,19 +227,11 @@ class SyncServerEngine:
                 first_in_batch = False
             else:
                 data = VisitData(props=None, edges={}, cost=IOCost())
-            self.board.visit(travel_id, self.ctx.server_id, "real")
-            self.metrics.count("engine.real_visits", server=server)
             n_real += 1
-            if batch is not None:
-                batch.add(vid, data, self.store.namespace_of(vid))
-            else:
-                expand_vertex(
-                    plan, level, vid, anchors, data, self.owner_fn, sinks, rtn_levels,
-                    self.store.namespace_of(vid),
-                    level0_override,
-                )
-        if batch is not None:
-            batch.expand(self.owner_fn, sinks)
+            batch.add(vid, anchors, data, self.store.namespace_of(vid))
+        batch.expand(self.owner_fn, sinks)
+        self.board.visit(travel_id, server, "real", n_real)
+        self.metrics.count("engine.real_visits", n_real, server=server)
 
         results_sent = self._emit_results(travel_id, attempt, coord_epoch, plan, sinks)
         sent_counts: dict[ServerId, int] = {}
@@ -289,7 +279,7 @@ class SyncServerEngine:
             results_sent=results_sent,
             real=n_real,
             decoded_blocks=self.store.decoded_blocks - decoded0,
-            batch_width=batch.width if batch is not None else 0,
+            batch_width=batch.width,
         )
         self.metrics.count("engine.status_reports", server=server)
         self._send_coord(

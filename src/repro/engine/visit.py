@@ -1,15 +1,17 @@
 """Shared per-vertex visit logic: disk-cost assembly and expansion semantics.
 
-Both engines funnel every vertex visit through these helpers so that the
-traversal *semantics* (filters, anchors, returns) are identical by
-construction; only the coordination strategy differs between Sync-GT and the
-asynchronous engines.
+Both engines read every vertex through :func:`read_vertex` and expand whole
+work units through :class:`~repro.engine.batch.BatchFrontier`.
+:func:`expand_vertex` is the per-vertex statement of the expansion
+semantics (filters, anchors, returns) the batch operator must reproduce;
+the equivalence suite checks the two against each other and against the
+reference oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.engine.frontier import extend_anchors, merge_entry
 from repro.ids import ServerId, VertexId
@@ -30,6 +32,9 @@ class VisitData:
     props: Optional[dict[str, Any]]  # None when no filter needed attributes
     edges: EdgesByLabel
     cost: IOCost
+    #: neighbor ids by label, filled instead of ``edges`` for the labels of
+    #: a read that needed no edge property (``read_vertex(edge_props=False)``)
+    ids: dict[str, Sequence[VertexId]] = field(default_factory=dict)
 
 
 @dataclass
@@ -55,6 +60,13 @@ def labels_needed(plan: TraversalPlan, levels: list[int]) -> set[str]:
         if lvl < plan.final_level:
             labels.update(plan.steps[lvl].labels)
     return labels
+
+
+def edge_props_needed(plan: TraversalPlan, levels: list[int]) -> bool:
+    """True if expanding any of these levels filters on edge properties."""
+    return any(
+        lvl < plan.final_level and plan.steps[lvl].edge_filters for lvl in levels
+    )
 
 
 def filters_at(
@@ -86,7 +98,7 @@ def needs_props(
             continue
         if plan.pushdown and not fs_needs_props(fs):
             # planner annotation: elide the attribute scan when only the
-            # key-encoded type is filtered (expand_vertex injects it)
+            # key-encoded type is filtered (the expansion injects it)
             continue
         return True
     return False
@@ -98,6 +110,7 @@ def read_vertex(
     want_labels: set[str],
     want_props: bool,
     edge_preds: Optional[dict[str, FilterSet]] = None,
+    edge_props: bool = True,
 ) -> VisitData:
     """Perform the (single) storage access for a visit.
 
@@ -105,8 +118,10 @@ def read_vertex(
     vertex's whole edge block (the layout keeps all its edges adjacent), as
     execution merging requires. Attribute scan added only when filters need
     properties. ``edge_preds`` (label → edge FilterSet) pushes predicates
-    into the storage scan — safe because :func:`expand_vertex` re-applies
-    every edge filter to whatever surfaces.
+    into the storage scan — safe because the expansion re-applies every
+    edge filter to whatever surfaces. ``edge_props=False`` (no edge
+    filter at any visited level) reads single-label adjacency as bare
+    neighbor ids into :attr:`VisitData.ids`.
     """
     cost = IOCost()
     props: Optional[dict[str, Any]] = None
@@ -126,11 +141,17 @@ def read_vertex(
                 return fs.matches
         return None
 
+    ids: dict[str, Sequence[VertexId]] = {}
+
+    def _read_label(label: str) -> IOCost:
+        if edge_props:
+            edges[label], c = store.edges(vid, label, _pred(label))
+        else:
+            ids[label], c = store.edges(vid, label, ids_only=True)
+        return c
+
     if len(fwd_labels) == 1:
-        label = next(iter(fwd_labels))
-        targets, c = store.edges(vid, label, _pred(label))
-        cost += c
-        edges[label] = targets
+        cost += _read_label(next(iter(fwd_labels)))
     elif fwd_labels:
         preds = None
         if edge_preds:
@@ -143,10 +164,8 @@ def read_vertex(
         for label in fwd_labels:
             edges.setdefault(label, [])
     for label in rev_labels:
-        targets, c = store.edges(vid, label, _pred(label))
-        cost += c
-        edges[label] = targets
-    return VisitData(props=props, edges=edges, cost=cost)
+        cost += _read_label(label)
+    return VisitData(props=props, edges=edges, cost=cost, ids=ids)
 
 
 def expand_vertex(
@@ -199,9 +218,13 @@ def expand_vertex(
     # intermediate rtn marks compete for the anchors machinery)
     short_circuit = plan.short_circuit_final and next_level == plan.final_level
     for label in step.labels:
-        for dst, eprops in data.edges.get(label, ()):
-            if step.edge_filters and not step.edge_filters.matches(eprops):
-                continue
+        dsts = [
+            dst
+            for dst, eprops in data.edges.get(label, ())
+            if not step.edge_filters or step.edge_filters.matches(eprops)
+        ]
+        dsts.extend(data.ids.get(label, ()))  # read without edge props
+        for dst in dsts:
             if short_circuit:
                 sinks.final_results.add(dst)
                 continue

@@ -79,7 +79,7 @@ def run_fault_free(
     *,
     engine: Union[EngineKind, EngineOptions] = EngineKind.GRAPHTREK,
     nservers: int = 3,
-    edge_layout: str = "grouped",
+    edge_layout: str = ClusterConfig.edge_layout,
 ) -> tuple[dict, float]:
     """Baseline run; returns (result sets, virtual duration)."""
     cluster = Cluster.build(
@@ -104,7 +104,7 @@ def run_under_faults(
     reliable: bool = True,
     trace: bool = False,
     journal: bool = False,
-    edge_layout: str = "grouped",
+    edge_layout: str = ClusterConfig.edge_layout,
 ) -> tuple[Optional[dict], Optional[str], dict, Optional[dict]]:
     """One traversal under ``plan``.
 
@@ -169,7 +169,7 @@ def chaos_check(
     max_drop: float = 0.12,
     max_duplicate: float = 0.10,
     trace: bool = False,
-    edge_layout: str = "grouped",
+    edge_layout: str = ClusterConfig.edge_layout,
 ) -> ChaosOutcome:
     """Run the differential check for one sampled fault plan.
 
@@ -181,8 +181,8 @@ def chaos_check(
     the differential verdict covers journal replay and epoch fencing.
     ``trace=True`` runs the faulty leg with the flight recorder on and
     attaches the reconstructed execution DAG(s) to ``ChaosOutcome.traces``.
-    ``edge_layout`` runs both legs under the named storage layout (the
-    columnar chaos leg of the batch-equivalence suite uses it).
+    ``edge_layout`` runs both legs under the named storage layout
+    (default: the cluster's default, columnar).
     """
     baseline, duration = run_fault_free(
         graph, query, engine=engine, nservers=nservers, edge_layout=edge_layout

@@ -28,6 +28,8 @@ _PLAN_BYTES = 256  # serialized GTravel instance, shipped with each dispatch
 
 
 def entries_nbytes(entries: Entries) -> int:
+    if not any(entries.values()):  # anchor-free batch: the common case
+        return _ENTRY_BYTES * len(entries)
     total = 0
     for anchors in entries.values():
         total += _ENTRY_BYTES

@@ -55,9 +55,9 @@ class Observability:
     opt-in third instrument (``ClusterConfig.trace_enabled`` or
     ``Cluster.enable_tracing``)."""
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self, enabled: bool = True, thread_safe: bool = True):
         self.enabled = enabled
-        self.metrics = MetricsRegistry(enabled=enabled)
+        self.metrics = MetricsRegistry(enabled=enabled, thread_safe=thread_safe)
         self.spans = SpanTracer(enabled=enabled)
         self.trace = FlightRecorder(enabled=False)
         self.trace.bind_metrics(self.metrics)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import nullcontext
 from typing import Any, Callable, Iterable, Optional
 
 #: a metric identity: (name, ((label, value), ...)) with labels sorted
@@ -25,6 +26,8 @@ MetricKey = tuple[str, tuple[tuple[str, Any], ...]]
 
 
 def metric_key(name: str, labels: dict[str, Any]) -> MetricKey:
+    if len(labels) < 2:  # nothing to sort: the engines' one-label case
+        return (name, tuple(labels.items()))
     return (name, tuple(sorted(labels.items())))
 
 
@@ -90,9 +93,13 @@ class MetricsRegistry:
     sweeps can opt out without touching call sites. Collectors are pull-side
     hooks (storage stats, runtime totals) run at snapshot time; they must
     *set* gauges — never increment — so repeated snapshots agree.
+
+    ``thread_safe=False`` replaces the recording lock with a no-op context,
+    for the single-threaded simulated runtime: an uncontended lock is still
+    measurable on the engines' paths.
     """
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self, enabled: bool = True, thread_safe: bool = True):
         self.enabled = enabled
         self._counters: dict[MetricKey, float] = {}
         self._gauges: dict[MetricKey, float] = {}
@@ -100,7 +107,7 @@ class MetricsRegistry:
         self._collectors: list[Callable[[MetricsRegistry], None]] = []
         self._watcher: Optional[Callable[[str, MetricKey, float], None]] = None
         self._watched: Optional[frozenset[str]] = None
-        self._lock = threading.Lock()
+        self._lock = threading.Lock() if thread_safe else nullcontext()
 
     # -- recording ---------------------------------------------------------
 

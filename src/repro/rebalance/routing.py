@@ -38,6 +38,8 @@ class RoutingTable:
         self._overrides: dict[VertexId, ServerId] = {}
         #: vertices in a double-routing window: vid -> (source, target)
         self._dual: dict[VertexId, tuple[ServerId, ServerId]] = {}
+        #: memo of the (pure) base partitioner, one entry per vertex routed
+        self._base: dict[VertexId, ServerId] = {}
 
     # -- routing (the hot path: every engine forward calls owner()) --------
 
@@ -47,14 +49,23 @@ class RoutingTable:
         During a double-routing window the source stays primary — it held
         the complete copy first, and keeping forwards on one side means a
         cutover is a single atomic flip rather than a gradual drift.
+
+        Fast path: with no migration state (the common case) the answer is
+        the memoized base owner, one dict lookup.
         """
-        dual = self._dual.get(vid)
-        if dual is not None:
-            return dual[0]
-        override = self._overrides.get(vid)
-        if override is not None:
-            return override
-        return self.base_owner(vid)
+        if self._dual:
+            dual = self._dual.get(vid)
+            if dual is not None:
+                return dual[0]
+        if self._overrides:
+            override = self._overrides.get(vid)
+            if override is not None:
+                return override
+        try:
+            return self._base[vid]
+        except KeyError:
+            owner = self._base[vid] = self.base_owner(vid)
+            return owner
 
     def owners(self, vid: VertexId) -> tuple[ServerId, ...]:
         """Every server that can serve the vertex: ``(source, target)``

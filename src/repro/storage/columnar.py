@@ -33,6 +33,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Sequence
 
 from repro.errors import CorruptAdjacencyBlock
@@ -74,6 +75,11 @@ def decode_varints(buf: bytes, offset: int, count: int) -> tuple[list[int], int]
     Raises :class:`~repro.errors.CorruptAdjacencyBlock` when a varint runs
     past the end of ``buf``.
     """
+    stop = offset + count
+    if stop <= len(buf):
+        chunk = buf[offset:stop]
+        if not chunk or max(chunk) < 0x80:  # every value a single byte
+            return list(chunk), stop
     out: list[int] = []
     append = out.append
     end = len(buf)
@@ -242,7 +248,13 @@ class AdjacencyBlock:
         return bytes(out)
 
     @classmethod
-    def decode(cls, vertex: int, label: str, buf: bytes) -> "AdjacencyBlock":
+    def decode(
+        cls, vertex: int, label: str, buf: bytes, props: bool = True
+    ) -> "AdjacencyBlock":
+        """Inverse of :meth:`encode`. With ``props=False`` the props column
+        after its flag byte is skipped (the CRC still covers it) and the
+        block comes back with an empty props column: the ids-only read of a
+        traversal step that filters no edge property."""
         if len(buf) < 7:
             raise CorruptAdjacencyBlock(
                 f"adjacency block of {len(buf)} bytes is shorter than the "
@@ -256,19 +268,21 @@ class AdjacencyBlock:
         if zlib.crc32(body) != _CRC.unpack(crc_bytes)[0]:
             raise CorruptAdjacencyBlock("adjacency block CRC32 mismatch")
         count, offset = _decode_one_varint(body, 1)
-        deltas, offset = decode_varints(body, offset, count)
-        targets: list[int] = []
-        append = targets.append
-        prev = 0
-        for d in deltas:
-            prev += zigzag_decode(d)
-            append(prev)
+        # the first id is a full-width value, the sorted deltas after it
+        # mostly single bytes (decode_varints' fast path)
+        deltas, offset = decode_varints(body, offset, min(count, 1))
+        rest, offset = decode_varints(body, offset, count - len(deltas))
+        deltas += rest
+        # inlined zigzag_decode: (u >> 1) ^ -(u & 1)
+        targets = accumulate((d >> 1) ^ -(d & 1) for d in deltas)
         if offset >= len(body):
             raise CorruptAdjacencyBlock("adjacency block missing props flag")
         flag = body[offset]
         offset += 1
-        props: tuple[dict[str, Any], ...] = ()
-        if flag == 1:
+        columns: tuple[dict[str, Any], ...] = ()
+        if flag == 1 and not props:
+            offset = len(body)
+        elif flag == 1:
             decoded = []
             for _ in range(count):
                 blen, offset = _decode_one_varint(body, offset)
@@ -288,11 +302,11 @@ class AdjacencyBlock:
                     )
                 decoded.append(p)
                 offset += blen
-            props = tuple(decoded)
+            columns = tuple(decoded)
         elif flag != 0:
             raise CorruptAdjacencyBlock(f"unknown props-column flag {flag}")
         if offset != len(body):
             raise CorruptAdjacencyBlock(
                 f"{len(body) - offset} trailing bytes after props column"
             )
-        return cls(vertex, label, tuple(targets), props)
+        return cls(vertex, label, tuple(targets), columns)

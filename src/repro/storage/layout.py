@@ -81,10 +81,12 @@ class GraphStore:
         #: columnar decode counters (block decode throughput attribution)
         self.decoded_blocks = 0
         self.decoded_edges = 0
-        #: decode-once memo, content-addressed (bytes → decoded pairs): a
-        #: re-read of an unchanged block skips the varint/props decode
-        #: entirely. Simulated I/O is charged before decode, so this only
-        #: removes repeated in-process work, never accounted disk cost.
+        #: decode-once memo, content-addressed (bytes → (neighbor ids,
+        #: decoded pairs or None when only the ids were decoded)): a re-read
+        #: of an unchanged block skips the varint/props decode entirely.
+        #: Simulated I/O is charged before decode, so this only removes
+        #: repeated in-process work, never accounted disk cost. Cleared by
+        #: :meth:`cold_start` with the block cache.
         self._decode_memo: dict[bytes, tuple] = {}
 
     # -- loading ---------------------------------------------------------
@@ -223,7 +225,7 @@ class GraphStore:
         else:  # columnar: read-modify-write the (vertex, label) block
             key = enc.edge_block_key(ns, src, label)
             old, _ = self.kv.get(key)
-            pairs = self._decode_block(src, label, old) if old is not None else []
+            pairs = list(self._decode_block(src, label, old)) if old is not None else []
             pairs.append((dst, props))
             value = columnar.AdjacencyBlock.from_edges(src, label, pairs).encode()
             self._edge_count += 1
@@ -362,9 +364,14 @@ class GraphStore:
         return props, cost
 
     def edges(
-        self, vid: VertexId, label: str, pred=None
+        self, vid: VertexId, label: str, pred=None, ids_only: bool = False
     ) -> tuple[list[tuple[VertexId, dict[str, Any]]], IOCost]:
         """Out-edges of ``vid`` with ``label``.
+
+        ``ids_only=True`` (no ``pred``) returns the neighbor ids alone, a
+        sequence of vertex ids instead of ``(dst, props)`` pairs: the read
+        of a traversal step that filters no edge property. On the columnar
+        layout it skips the props column's decode; the I/O is the same.
 
         Grouped layout: one sequential scan of exactly that label's run.
         Interleaved layout: the whole edge block must be scanned and
@@ -387,7 +394,10 @@ class GraphStore:
         if label.startswith("~"):
             ns = "~" + ns
         elif self.edge_layout == "columnar":
-            return self._edges_columnar(ns, vid, label, pred)
+            return self._edges_columnar(ns, vid, label, pred, ids_only)
+        if ids_only:
+            pairs, cost = self.edges(vid, label)
+            return [dst for dst, _ in pairs], cost
         if self.edge_layout == "grouped" or label.startswith("~"):
             prefix = enc.edges_prefix(ns, vid, label)
             if pred is None:
@@ -407,42 +417,46 @@ class GraphStore:
         return [(dst, props) for lbl, dst, props in all_edges if lbl == label], cost
 
     def _decode_block(
-        self, vid: VertexId, label: str, value: bytes
-    ) -> list[tuple[VertexId, dict[str, Any]]]:
+        self, vid: VertexId, label: str, value: bytes, ids_only: bool = False
+    ) -> tuple:
         """Decode one adjacency block, tracking decode-throughput counters.
 
-        Returns a fresh list every call (callers may append before
-        re-encoding); the decoded column itself is memoized per block
-        content, so only the first read of a given byte string pays the
-        varint decode.
+        Returns the neighbor-id tuple with ``ids_only``, else the tuple of
+        ``(dst, props)`` pairs. Both are memoized per block content, so
+        only the first read of a given byte string pays the varint decode
+        (and, for pairs, the props decode); the memo is shared, so callers
+        must not mutate the props dicts they get.
         """
         cached = self._decode_memo.get(value)
-        if cached is not None:
-            return list(cached)
-        block = columnar.AdjacencyBlock.decode(vid, label, value)
-        self.decoded_blocks += 1
-        self.decoded_edges += len(block.targets)
-        pairs = block.pairs()
-        if len(self._decode_memo) >= 65536:
-            self._decode_memo.clear()
-        self._decode_memo[value] = tuple(pairs)
-        return pairs
+        if cached is None or (not ids_only and cached[1] is None):
+            block = columnar.AdjacencyBlock.decode(vid, label, value, props=not ids_only)
+            self.decoded_blocks += 1
+            self.decoded_edges += len(block.targets)
+            cached = (block.targets, None if ids_only else tuple(block.pairs()))
+            if len(self._decode_memo) >= 65536:
+                self._decode_memo.clear()
+            self._decode_memo[value] = cached
+        return cached[0] if ids_only else cached[1]
 
     def _filter_decoded(
-        self, pairs: list[tuple[VertexId, dict[str, Any]]], pred
+        self, pairs: tuple[tuple[VertexId, dict[str, Any]], ...], pred
     ) -> list[tuple[VertexId, dict[str, Any]]]:
         """Post-decode predicate pushdown: same rejected-entry accounting as
         the scan-level filter, applied to a decoded column."""
         if pred is None:
-            return pairs
+            return list(pairs)
         kept = [(dst, p) for dst, p in pairs if pred(p)]
         self.kv.stats.entries_filtered += len(pairs) - len(kept)
         return kept
 
     def _edges_columnar(
-        self, ns: str, vid: VertexId, label: str, pred
-    ) -> tuple[list[tuple[VertexId, dict[str, Any]]], IOCost]:
+        self, ns: str, vid: VertexId, label: str, pred, ids_only: bool = False
+    ) -> tuple[list, IOCost]:
         value, cost = self.kv.get(enc.edge_block_key(ns, vid, label))
+        if ids_only and vid not in self._legacy_edge_vids:
+            # the hot read: the memoized id tuple itself, no copy
+            ids = self._decode_block(vid, label, value, True) if value is not None else ()
+            return ids, cost
         out: list[tuple[VertexId, dict[str, Any]]] = []
         if value is not None:
             out = self._filter_decoded(self._decode_block(vid, label, value), pred)
@@ -462,6 +476,8 @@ class GraphStore:
                 )
             cost += c
             out.extend(enc.unpack_edge_record(val) for _, val in pairs)
+        if ids_only:
+            return [dst for dst, _ in out], cost
         return out, cost
 
     def all_edges(
@@ -546,8 +562,10 @@ class GraphStore:
     # -- maintenance ---------------------------------------------------------
 
     def cold_start(self) -> None:
-        """Drop the block cache, as the paper does before each measured run."""
+        """Drop the block cache, as the paper does before each measured run,
+        and the decode memo with it: a cold read decodes its block again."""
         self.kv.cache.clear()
+        self._decode_memo.clear()
 
     def rebuild_edge_accounting(self) -> None:
         """Recompute the bytes/edge gauge and the legacy-edge vid set from

@@ -1,17 +1,22 @@
-"""Generative differential suite for columnar storage + batch execution.
+"""Generative differential suite for the one engine path: columnar storage
+(or a §IV-B ablation layout) + batch frontier expansion.
 
-This PR's proof obligation: the compressed columnar adjacency layout and the
-batch-vectorized frontier are *representation* changes — they may change how
-bytes are laid out and how frontiers move, never what a traversal returns.
+The async and sync engines expand every work unit through
+:class:`~repro.engine.batch.BatchFrontier`; the per-vertex semantics live
+only in :func:`~repro.engine.visit.expand_vertex` and the
+:class:`~repro.engine.reference.ReferenceEngine` oracle. This suite proves
+the batch path against both.
 
 Legs:
 
-* the 10-seed × 3-engine × 3-planner × columnar-on/off × batch-on/off
-  matrix on random graphs/queries, element-identical to the per-vertex
-  reference oracle (itself cross-checked against its batched variant);
+* operator level: ``BatchFrontier`` over random visit data (anchors,
+  ids-only reads, edge filters, several levels in one unit) produces
+  exactly the sinks of per-vertex ``expand_vertex`` calls;
+* the 10-seed × 3-engine × 3-planner × 3-layout matrix over random plain,
+  rtn-bearing (provenance-style) and merge-heavy plans, element-identical
+  to the per-vertex reference oracle;
 * determinism: re-running an identical (seed, config) pair reproduces the
-  result AND a byte-identical metrics snapshot — the simulated runtime is a
-  pure function of its inputs, columnar or not;
+  result, a byte-identical metrics snapshot and flight-recorder export;
 * a chaos leg: mid-traversal server crash with columnar storage on, results
   still identical to the fault-free baseline;
 * a rebalance leg: migration chunks export/import columnar blocks
@@ -21,25 +26,32 @@ Legs:
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind
+from repro.engine.batch import BatchFrontier
+from repro.engine.frontier import EMPTY_ANCHORS, intermediate_rtn_levels
 from repro.engine.options import options_for
 from repro.engine.reference import ReferenceEngine
+from repro.engine.visit import ExpandSinks, VisitData, expand_vertex
 from repro.faults.chaos import chaos_check
 from repro.graph.builder import PropertyGraph
+from repro.lang import EQ
 from repro.lang.gtravel import GTravel
 from repro.rebalance import MigrationConfig
-from repro.storage import GraphStore, LSMConfig
+from repro.storage import EDGE_LAYOUTS, GraphStore, LSMConfig
+from repro.storage.costmodel import IOCost
 
 from tests.conftest import ALL_ENGINES
 
 SEEDS = range(10)
 PLANNERS = ("off", "rules", "cost")
 LAYOUTS = ("grouped", "columnar")
+LABELS = ("link", "ref")
 
 
 def random_graph(rng: random.Random, nvertices: int = 24, nedges: int = 72):
@@ -49,7 +61,7 @@ def random_graph(rng: random.Random, nvertices: int = 24, nedges: int = 72):
     for _ in range(nedges):
         src = rng.randrange(nvertices)
         dst = rng.randrange(nvertices)
-        g.add_edge(src, dst, rng.choice(("link", "ref")), {"w": rng.randint(0, 3)})
+        g.add_edge(src, dst, rng.choice(LABELS), {"w": rng.randint(0, 3)})
     return g
 
 
@@ -58,24 +70,110 @@ def random_queries(rng: random.Random, nvertices: int, n: int = 3):
     for _ in range(n):
         q = GTravel.v(rng.randrange(nvertices))
         for _ in range(rng.randint(1, 3)):
-            q = q.e(rng.choice(("link", "ref")))
+            q = q.e(rng.choice(LABELS))
         queries.append(q.compile())
     return queries
+
+
+def rtn_queries(rng: random.Random, nvertices: int):
+    """Provenance-style plans: intermediate rtn() marks, with vertex and
+    edge filters between them."""
+    src = rng.randrange(nvertices)
+    return [
+        GTravel.v(src).e("link").rtn().e("ref").compile(),
+        GTravel.v(src).rtn().e("link").e("link").rtn().e("ref").va("x", EQ, 1).compile(),
+        GTravel.v(src, (src + 1) % nvertices).e("link", "ref").rtn()
+        .e("link").ea("w", EQ, 2).e("ref").compile(),
+    ]
+
+
+def merge_heavy_queries(rng: random.Random, nvertices: int):
+    """Long same-label chains over a small dense graph: the same vertex is
+    queued at several levels of one traversal, so execution merging (§V-B)
+    serves levels from one read — one of them past an rtn mark."""
+    src = rng.randrange(nvertices)
+    q = GTravel.v(src)
+    for _ in range(6):
+        q = q.e("link", "ref")
+    rtn = GTravel.v(src).e("link", "ref").e("link", "ref").rtn()
+    for _ in range(4):
+        rtn = rtn.e("link", "ref")
+    return [q.compile(), rtn.compile()]
 
 
 def normalize(returned: dict) -> dict:
     return {lv: frozenset(vids) for lv, vids in returned.items() if vids}
 
 
-def build(graph, engine, planner, layout, batch):
+def build(graph, engine, planner="off", layout="columnar", **cfg):
     return Cluster.build(
         graph,
         ClusterConfig(
             nservers=3,
             edge_layout=layout,
-            engine=options_for(engine, planner=planner, batch_frontier=batch),
+            engine=options_for(engine, planner=planner),
+            **cfg,
         ),
     )
+
+
+# -- operator level: BatchFrontier == per-vertex expand_vertex ------------------
+
+
+def _random_visit(rng: random.Random, ids_only: bool) -> VisitData:
+    edges, ids = {}, {}
+    for label in LABELS:
+        dsts = [rng.randrange(16) for _ in range(rng.randint(0, 5))]
+        if ids_only:
+            ids[label] = tuple(dsts)
+        else:
+            edges[label] = [(d, {"w": rng.randint(0, 3)}) for d in dsts]
+    props = {"x": rng.randrange(5)}
+    return VisitData(props=props, edges=edges, cost=IOCost(), ids=ids)
+
+
+def _random_anchors(rng: random.Random, width: int):
+    return tuple(
+        frozenset(rng.sample(range(16), rng.randint(1, 3))) for _ in range(width)
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batch_frontier_matches_expand_vertex(seed):
+    rng = random.Random(seed)
+    plans = [
+        GTravel.v(0).e("link").e("ref").va("x", EQ, 2).e("link").compile(),
+        GTravel.v(0).e("link").rtn().e("ref").ea("w", EQ, 1).e("link").compile(),
+        GTravel.v(0).rtn().e("link", "ref").rtn().e("ref").va("x", EQ, 1).compile(),
+        GTravel.v(0).e("link").e("ref").group_count("x").compile(),
+    ]
+
+    def owner(vid):
+        return vid % 3
+
+    for plan in plans:
+        rtn_levels = intermediate_rtn_levels(plan)
+        per_vertex, batched = ExpandSinks(), ExpandSinks()
+        # one unit: a frontier per level, as execution merging produces
+        for level in range(plan.final_level + 1):
+            width = sum(1 for r in rtn_levels if r < level)
+            edge_filtered = level < plan.final_level and bool(
+                plan.steps[level].edge_filters
+            )
+            frontier = BatchFrontier(plan, level, rtn_levels)
+            for vid in rng.sample(range(16), 6):
+                data = _random_visit(rng, ids_only=not edge_filtered and rng.random() < 0.5)
+                anchors = _random_anchors(rng, width) if width else EMPTY_ANCHORS
+                outcome = expand_vertex(
+                    plan, level, vid, anchors, data, owner, per_vertex, rtn_levels, "node"
+                )
+                admitted = frontier.add(vid, anchors, data, "node")
+                assert admitted == (outcome != "filtered"), (plan.describe(), level)
+            frontier.expand(owner, batched)
+        assert batched.out == per_vertex.out, plan.describe()
+        assert batched.final_results == per_vertex.final_results
+        assert batched.anchors_by_owner == per_vertex.anchors_by_owner
+        assert batched.final_groups == per_vertex.final_groups
 
 
 # -- the differential matrix --------------------------------------------------
@@ -84,28 +182,37 @@ def build(graph, engine, planner, layout, batch):
 @pytest.mark.parametrize("planner", PLANNERS)
 @pytest.mark.parametrize("engine", ALL_ENGINES, ids=lambda e: e.value)
 def test_matrix_element_identical(engine, planner):
-    """10 seeds × columnar-on/off × batch-on/off, every result element-
-    identical to the per-vertex oracle (and the oracle to its batched
-    self)."""
+    """10 seeds × every layout × plain, rtn-bearing and merge-heavy plans,
+    every result element-identical to the per-vertex oracle."""
     for seed in SEEDS:
         rng = random.Random(seed)
         graph = random_graph(rng)
         queries = random_queries(rng, 24)
+        queries += rtn_queries(rng, 24) + merge_heavy_queries(rng, 24)
         oracle = ReferenceEngine(graph)
-        oracle_batched = ReferenceEngine(graph, batch_frontier=True)
-        for qi, plan in enumerate(queries):
-            expect = normalize(oracle.run(plan).returned)
-            assert expect == normalize(oracle_batched.run(plan).returned), (
-                f"seed {seed} q{qi}: batched oracle diverged"
-            )
-            for layout in LAYOUTS:
-                for batch in (False, True):
-                    cluster = build(graph, engine, planner, layout, batch)
-                    got = normalize(cluster.traverse(plan).result.returned)
-                    assert got == expect, (
-                        f"seed {seed} q{qi} layout={layout} batch={batch}: "
-                        f"{got} != {expect}"
-                    )
+        for layout in EDGE_LAYOUTS:
+            cluster = build(graph, engine, planner, layout)
+            for qi, plan in enumerate(queries):
+                expect = normalize(oracle.run(plan).returned)
+                got = normalize(cluster.traverse(plan).result.returned)
+                assert got == expect, (
+                    f"seed {seed} q{qi} {plan.describe()} layout={layout}: "
+                    f"{got} != {expect}"
+                )
+
+
+def test_merge_heavy_plans_merge():
+    """The merge-heavy leg really exercises merged levels on the batch
+    path, with and without rtn anchors (otherwise the matrix proves
+    nothing about them)."""
+    combined = [0, 0]
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        graph = random_graph(rng)
+        for i, plan in enumerate(merge_heavy_queries(rng, 24)):
+            outcome = build(graph, EngineKind.GRAPHTREK).traverse(plan)
+            combined[i] += outcome.stats.combined_visits
+    assert all(combined), combined
 
 
 def test_aggregates_and_short_circuit_batched():
@@ -122,16 +229,14 @@ def test_aggregates_and_short_circuit_batched():
         expect = ReferenceEngine(graph).run(plan).aggregate
         for layout in LAYOUTS:
             for planner in PLANNERS:
-                cluster = build(
-                    graph, EngineKind.GRAPHTREK, planner, layout, True
-                )
+                cluster = build(graph, EngineKind.GRAPHTREK, planner, layout)
                 got = cluster.traverse(plan).result.aggregate
                 assert got == expect, (layout, planner, got, expect)
 
 
-def test_intermediate_rtn_keeps_per_vertex_path():
-    """Plans with intermediate rtn() are batch-ineligible; turning the flag
-    on must not disturb their anchor semantics."""
+def test_intermediate_rtn_on_batch_path():
+    """Intermediate rtn() anchors ride the batch frontier: every engine and
+    layout returns the oracle's backward-pruned anchor sets."""
     for seed in (0, 3, 7):
         rng = random.Random(seed)
         graph = random_graph(rng)
@@ -139,7 +244,7 @@ def test_intermediate_rtn_keeps_per_vertex_path():
         expect = normalize(ReferenceEngine(graph).run(plan).returned)
         for engine in ALL_ENGINES:
             for layout in LAYOUTS:
-                cluster = build(graph, engine, "off", layout, True)
+                cluster = build(graph, engine, "off", layout)
                 got = normalize(cluster.traverse(plan).result.returned)
                 assert got == expect, (seed, engine, layout)
 
@@ -148,25 +253,26 @@ def test_intermediate_rtn_keeps_per_vertex_path():
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("batch", (False, True), ids=("pervertex", "batched"))
-def test_rerun_metrics_byte_identical(layout, batch):
-    """Same (seed, config) twice → same results and a byte-identical
-    metrics snapshot; columnar decode counters included."""
+def test_rerun_metrics_byte_identical(layout):
+    """Same (seed, config) twice → same results, a byte-identical metrics
+    snapshot (columnar decode counters included) and a byte-identical
+    flight-recorder export."""
     rng = random.Random(5)
     graph = random_graph(rng)
-    plan = random_queries(rng, 24, n=1)[0]
+    plans = random_queries(rng, 24, n=1) + rtn_queries(rng, 24)[:1]
 
     def one_run():
-        cluster = build(graph, EngineKind.GRAPHTREK, "cost", layout, batch)
-        result = normalize(cluster.traverse(plan).result.returned)
-        snapshot = repr(sorted(cluster.metrics_snapshot()["counters"].items()))
+        cluster = build(graph, EngineKind.GRAPHTREK, "cost", layout, trace_enabled=True)
+        results = [normalize(cluster.traverse(p).result.returned) for p in plans]
+        snapshot = json.dumps(cluster.metrics_snapshot(), sort_keys=True)
         storage = repr([s.store.metrics_snapshot() for s in cluster.servers])
-        return result, snapshot, storage
+        return results, snapshot, storage, cluster.board.obs.trace.to_json()
 
     first, second = one_run(), one_run()
     assert first[0] == second[0]
-    assert first[1] == second[1], "metric counters differ across reruns"
+    assert first[1] == second[1], "metrics snapshots differ across reruns"
     assert first[2] == second[2], "storage snapshots differ across reruns"
+    assert first[3] == second[3], "flight-recorder exports differ across reruns"
 
 
 def test_columnar_decode_counters_move():
@@ -175,7 +281,7 @@ def test_columnar_decode_counters_move():
     rng = random.Random(11)
     graph = random_graph(rng)
     plan = random_queries(rng, 24, n=1)[0]
-    cluster = build(graph, EngineKind.GRAPHTREK, "off", "columnar", True)
+    cluster = build(graph, EngineKind.GRAPHTREK, "off", "columnar")
     cluster.traverse(plan)
     decoded = sum(s.store.decoded_blocks for s in cluster.servers)
     assert decoded > 0
@@ -186,15 +292,14 @@ def test_columnar_decode_counters_move():
 # -- chaos leg: crash mid-traversal with columnar on ---------------------------
 
 
-@pytest.mark.parametrize("batch", (False, True), ids=("pervertex", "batched"))
-def test_chaos_crash_columnar(batch):
+def test_chaos_crash_columnar():
     """A server crash mid-traversal under the columnar layout: the restart
     must reproduce the fault-free result (or fail cleanly), exactly as the
     grouped layout's chaos suite guarantees."""
     rng = random.Random(21)
     graph = random_graph(rng)
     plan = GTravel.v(3).e("link").e("ref").e("link").compile()
-    engine = options_for(EngineKind.GRAPHTREK, batch_frontier=batch)
+    engine = options_for(EngineKind.GRAPHTREK)
     ok = 0
     for seed in range(4):
         outcome = chaos_check(
@@ -279,7 +384,7 @@ def test_live_migration_columnar_identical(engine):
         ClusterConfig(
             nservers=3,
             edge_layout="columnar",
-            engine=options_for(engine, batch_frontier=True),
+            engine=options_for(engine),
             migration=MigrationConfig(chunk_vertices=4, dual_window=0.02),
             journal=True,
         ),

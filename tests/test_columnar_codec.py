@@ -109,6 +109,25 @@ def test_adjacency_block_roundtrips(vids, data):
     assert back.pairs() == block.pairs()
 
 
+@given(vid_lists, st.data())
+def test_ids_only_decode_matches_full_decode(vids, data):
+    """``props=False`` returns the same id column with an empty props
+    column, and still rejects a damaged block (the CRC covers the skipped
+    props column)."""
+    props = tuple(data.draw(props_dicts) for _ in vids)
+    if not any(props):
+        props = ()
+    buf = AdjacencyBlock(5, "cites", tuple(vids), props).encode()
+    ids_only = AdjacencyBlock.decode(5, "cites", buf, props=False)
+    assert ids_only.targets == tuple(vids)
+    assert ids_only.props == ()
+    flip = data.draw(st.integers(min_value=0, max_value=len(buf) * 8 - 1))
+    damaged = bytearray(buf)
+    damaged[flip // 8] ^= 1 << (flip % 8)
+    with pytest.raises(CorruptAdjacencyBlock):
+        AdjacencyBlock.decode(5, "cites", bytes(damaged), props=False)
+
+
 @given(vid_lists)
 def test_from_edges_sorts_by_destination(vids):
     block = AdjacencyBlock.from_edges(1, "ref", [(v, {}) for v in vids])

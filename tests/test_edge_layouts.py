@@ -115,6 +115,36 @@ def test_columnar_live_insert(multi_label_vertex):
     assert (999, {"n": 99}) in edges
 
 
+def test_cold_start_clears_decode_memo(multi_label_vertex):
+    """A cold read decodes its block again: ``cold_start`` drops the decode
+    memo with the block cache, so re-reading a block after it increments
+    ``decoded_blocks``; without it the warm re-read is free."""
+    graph, v, _ = multi_label_vertex
+    store = load(graph, [v], "columnar")
+    store.edges(v, "read")
+    decoded = store.decoded_blocks
+    store.edges(v, "read")
+    assert store.decoded_blocks == decoded  # warm: served from the memo
+    store.cold_start()
+    store.edges(v, "read")
+    assert store.decoded_blocks == decoded + 1
+
+
+def test_ids_only_read_matches_edges(multi_label_vertex):
+    """``edges(ids_only=True)`` returns the neighbor ids of the full read at
+    the same I/O cost, on every layout."""
+    graph, v, _ = multi_label_vertex
+    for layout in ("grouped", "interleaved", "columnar"):
+        store = load(graph, [v], layout)
+        for label in ("read", "write", "exe"):
+            pairs, cost = store.edges(v, label)
+            store.cold_start()
+            ids, ids_cost = store.edges(v, label, ids_only=True)
+            store.cold_start()
+            assert list(ids) == [dst for dst, _ in pairs], (layout, label)
+            assert ids_cost == cost, (layout, label)
+
+
 def test_columnar_bytes_per_edge_beats_entry_per_edge():
     """The compression claim behind ``storage.bytes_per_edge``: a columnar
     store's forward footprint is smaller than grouped entry-per-edge."""
@@ -204,6 +234,8 @@ def test_mixed_legacy_entries_readable_on_columnar_store(multi_label_vertex):
     want, _ = grouped.edges(v, "read")
     got, _ = columnar.edges(v, "read")
     assert sorted(got) == sorted(want + [(7777, {"n": 1})])
+    ids, _ = columnar.edges(v, "read", ids_only=True)
+    assert sorted(ids) == sorted(dst for dst, _ in got)
     want_all, _ = grouped.all_edges(v)
     got_all, _ = columnar.all_edges(v)
     assert len(got_all) == len(want_all) + 1

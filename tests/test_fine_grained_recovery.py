@@ -180,3 +180,62 @@ def test_recovery_disabled_by_default(metadata_graph):
     out = cluster.traverse(plan)
     assert out.stats.restarts == 1  # paper-default behaviour: full restart
     assert out.stats.replays == 0
+
+
+def test_crash_after_coalescing_replays_absorbed_requests(monkeypatch):
+    """A request coalesced into a queued unit terminates with that unit, not
+    on arrival: when a crash drops the queued unit, the absorbed request is
+    still pending at the coordinator and is replayed from its creator, so
+    no entry it carried goes missing."""
+    from repro.engine.async_engine import AsyncServerEngine
+    from repro.workloads import MetadataGraphConfig, generate_metadata_graph
+
+    md = generate_metadata_graph(MetadataGraphConfig(users=12, files=512, seed=42))
+    plan = GTravel.v(*md.user_ids).e("run").e("hasExecutions").e("read").compile()
+    expect = ReferenceEngine(md.graph).run(plan)
+    cluster = Cluster.build(
+        md.graph,
+        ClusterConfig(
+            nservers=3,
+            engine=EngineKind.GRAPHTREK,
+            reliable=True,
+            coordinator_config=recovery_config(exec_timeout=0.2, watch_interval=0.05),
+        ),
+    )
+    runtime = cluster.runtime
+    crashed = []
+    on_request = AsyncServerEngine._on_request
+
+    def crash_once_coalesced(self, msg):
+        on_request(self, msg)
+        server = self.ctx.server_id
+        key = ((msg.travel_id, msg.attempt), msg.level)
+        work = self._pending.get(key)
+        # exec ids are allocated from (creator + 1) << 32: the queued unit
+        # and the absorbed request must both come from live servers, whose
+        # replay buffers survive the crash
+        if (
+            crashed
+            or work is None
+            or not work.absorbed
+            or (work.exec_id >> 32) - 1 == server
+            or (msg.exec_id >> 32) - 1 == server
+        ):
+            return
+
+        def crash():
+            # shortly after the transport acked the absorbed request, while
+            # the unit carrying its entries is still queued
+            if crashed or self._pending.get(key) is not work:
+                return
+            crashed.append(server)
+            runtime.crash_server(server)
+            runtime.schedule(0.05, lambda: runtime.recover_server(server))
+
+        runtime.schedule(1e-4, crash)
+
+    monkeypatch.setattr(AsyncServerEngine, "_on_request", crash_once_coalesced)
+    out = cluster.traverse(plan)
+    assert crashed, "no request was coalesced; the scenario did not happen"
+    assert out.result.same_vertices(expect)
+    assert out.stats.restarts == 0, "replay, not a restart, must recover the entries"

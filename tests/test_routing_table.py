@@ -3,9 +3,12 @@ for vertex ownership during an online shard migration."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import RebalanceError, ReproError, StaleRoutingVersion
+from repro.partition import HashEdgeCut
 from repro.rebalance import RoutingTable
 
 
@@ -134,3 +137,139 @@ def test_cutover_requires_a_matching_window():
     with pytest.raises(RebalanceError, match="no double-routing window"):
         t.cutover([0], dst=2)  # window targets 1, not 2
     assert t.owners(0) == (0, 1), "failed cutover left the window intact"
+
+
+# -- the fast path against a memo-free reference ------------------------------
+#
+# ``owner`` answers from a memo of base owners whenever no override and no
+# double-routing window exists. Seeded random sequences of every ownership
+# mutation must leave ``owner()`` and ``owners()`` equal, for every vertex
+# and after every step, to a reference that recomputes each answer from the
+# base partitioner.
+
+NSERVERS = 4
+VIDS = range(48)
+
+
+class SlowRouting:
+    """The ownership rules written out, no fast path and no memo."""
+
+    def __init__(self, base):
+        self.base = base
+        self.overrides: dict[int, int] = {}
+        self.dual: dict[int, tuple[int, int]] = {}
+
+    def owner(self, vid):
+        if vid in self.dual:
+            return self.dual[vid][0]
+        if vid in self.overrides:
+            return self.overrides[vid]
+        return self.base(vid)
+
+    def owners(self, vid):
+        return self.dual[vid] if vid in self.dual else (self.owner(vid),)
+
+    def begin_dual(self, vids, src, dst):
+        if src == dst or any(v in self.dual or self.owner(v) != src for v in vids):
+            raise RebalanceError("rejected")
+        for v in vids:
+            self.dual[v] = (src, dst)
+
+    def cutover(self, vids, dst):
+        if any(v not in self.dual or self.dual[v][1] != dst for v in vids):
+            raise RebalanceError("rejected")
+        self.apply_override(vids, dst)
+
+    def abort_dual(self, vids):
+        for v in vids:
+            self.dual.pop(v, None)
+
+    def apply_override(self, vids, dst):
+        for v in vids:
+            self.dual.pop(v, None)
+            if self.base(v) == dst:
+                self.overrides.pop(v, None)
+            else:
+                self.overrides[v] = dst
+
+    def on_coordinator_crash(self):
+        self.overrides.clear()
+        self.dual.clear()
+
+
+def _random_op(rng: random.Random, table: RoutingTable, slow: SlowRouting):
+    """One mutation, valid most of the time; invalid ones must be rejected
+    by both sides alike."""
+    kind = rng.choice(
+        ("begin_dual", "begin_dual", "cutover", "cutover", "abort_dual",
+         "apply_override", "on_coordinator_crash", "restore_version")
+    )
+    vids = rng.sample(VIDS, rng.randint(1, 4))
+    if kind == "begin_dual":
+        src = slow.owner(vids[0]) if rng.random() < 0.8 else rng.randrange(NSERVERS)
+        dst = rng.randrange(NSERVERS)
+        return kind, (vids, src, dst)
+    if kind == "cutover":
+        if slow.dual and rng.random() < 0.8:
+            vid = rng.choice(sorted(slow.dual))
+            dst = slow.dual[vid][1]
+            vids = [v for v in sorted(slow.dual) if slow.dual[v][1] == dst]
+            vids = vids[: rng.randint(1, len(vids))]
+        else:
+            dst = rng.randrange(NSERVERS)
+        return kind, (vids, dst)
+    if kind == "abort_dual":
+        if slow.dual and rng.random() < 0.8:
+            vids = rng.sample(sorted(slow.dual), min(len(slow.dual), 3))
+        return kind, (vids,)
+    if kind == "apply_override":
+        return kind, (vids, rng.randrange(NSERVERS))
+    if kind == "restore_version":
+        return kind, (table.version + rng.randint(-3, 3),)
+    return kind, ()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fast_path_matches_slow_reference(seed):
+    rng = random.Random(seed)
+    base = HashEdgeCut(NSERVERS, salt=seed).owner
+    table = RoutingTable(base, NSERVERS)
+    slow = SlowRouting(base)
+    version = table.version
+    for step in range(200):
+        kind, args = _random_op(rng, table, slow)
+        table_error = slow_error = None
+        try:
+            getattr(table, kind)(*args)
+        except RebalanceError as exc:
+            table_error = exc
+        if kind != "restore_version":
+            try:
+                getattr(slow, kind)(*args)
+            except RebalanceError as exc:
+                slow_error = exc
+        assert (table_error is None) == (slow_error is None), (step, kind, args)
+        assert table.version >= version, "routing versions went backwards"
+        version = table.version
+        for vid in VIDS:
+            assert table.owner(vid) == slow.owner(vid), (step, kind, vid)
+            assert table.owners(vid) == slow.owners(vid), (step, kind, vid)
+        assert table.dual_count == len(slow.dual)
+        assert table.overrides_snapshot() == slow.overrides
+
+
+def test_memo_holds_only_base_owners():
+    """Overrides and dual windows never leak into the base-owner memo: once
+    they are gone, every vertex routes to its hash owner again."""
+    base = HashEdgeCut(NSERVERS).owner
+    table = RoutingTable(base, NSERVERS)
+    assert [table.owner(v) for v in VIDS] == [base(v) for v in VIDS]
+    vid = 7
+    src = base(vid)
+    dst = (src + 1) % NSERVERS
+    table.begin_dual([vid], src, dst)
+    assert table.owners(vid) == (src, dst)
+    table.cutover([vid], dst)
+    assert table.owner(vid) == dst
+    table.on_coordinator_crash()
+    assert [table.owner(v) for v in VIDS] == [base(v) for v in VIDS]
