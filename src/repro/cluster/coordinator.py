@@ -613,24 +613,16 @@ class Coordinator:
             tracker: ExecTracker = at.tracker  # type: ignore[assignment]
             fresh = tracker.on_status(msg, self.ctx.now())
             self.metrics.count("coord.exec_status", server=msg.server)
-            self.trace.record(
-                "coord.status",
-                travel_id=msg.travel_id,
-                exec_id=msg.exec_id,
-                server_id=msg.server,
-                step=msg.level,
-                attempt=attempt,
-                fresh=fresh,
-                created=len(msg.created),
-                results_sent=msg.results_sent,
-            )
+            if self.trace.enabled:
+                self._trace_status(msg, attempt, fresh)
             if fresh:
                 # Fresh terminations only: duplicate reports from replayed
                 # executions must not inflate the executions statistic.
-                self.board.execution(msg.travel_id)
-                self._journal_progress(at, statuses=1)
-            else:
-                self.metrics.count("coord.duplicate_status")
+                self.board.execution(msg.travel_id, fresh)
+                self._journal_progress(at, statuses=fresh)
+            duplicates = 1 + len(msg.absorbed) - fresh
+            if duplicates:
+                self.metrics.count("coord.duplicate_status", duplicates)
             self._check_complete(at)
         elif isinstance(msg, ResultReport):
             self.metrics.count("coord.result_reports")
@@ -660,6 +652,31 @@ class Coordinator:
             self._on_step_done(at, msg)
         else:  # pragma: no cover - protocol misuse guard
             raise TypeError(f"coordinator got unexpected {type(msg).__name__}")
+
+    def _trace_status(self, msg: ExecStatus, attempt: int, fresh: int) -> None:
+        """One ``coord.status`` per execution the report terminates: the
+        unit's own (with the report's fresh count) and each absorbed one."""
+        self.trace.record(
+            "coord.status",
+            travel_id=msg.travel_id,
+            exec_id=msg.exec_id,
+            server_id=msg.server,
+            step=msg.level,
+            attempt=attempt,
+            fresh=fresh,
+            created=len(msg.created),
+            results_sent=msg.results_sent,
+        )
+        for eid in msg.absorbed:
+            self.trace.record(
+                "coord.status",
+                travel_id=msg.travel_id,
+                exec_id=eid,
+                server_id=msg.server,
+                step=msg.level,
+                attempt=attempt,
+                absorbed_into=msg.exec_id,
+            )
 
     def _on_step_done(self, at: ActiveTravel, msg: SyncStepDone) -> None:
         barrier: SyncBarrierState = at.tracker  # type: ignore[assignment]

@@ -4,7 +4,7 @@ One :class:`AsyncServerEngine` runs on every backend server. Message flow:
 
 1. :class:`~repro.net.message.TraverseRequest` arrives → coalesce into the
    pending work unit for its (travel, level) if one is still queued (the
-   absorbed execution terminates when that unit has been processed), else
+   absorbed execution terminates inside that unit's status report), else
    enqueue a new unit.
 2. A worker pops the queue — smallest step id first when execution
    scheduling is enabled (§V-B) — and processes the unit's vertices:
@@ -12,9 +12,9 @@ One :class:`AsyncServerEngine` runs on every backend server. Message flow:
    queued levels (§V-B), one disk access per surviving vertex, filter and
    expand, then dispatch batched requests to the owners of the next-level
    vertices *without any global synchronization*.
-3. Each processed unit reports an :class:`~repro.net.message.ExecStatus` to
-   the coordinator: its own termination plus every execution it created —
-   the status-tracing protocol of §IV-C.
+3. Each processed unit reports one :class:`~repro.net.message.ExecStatus` to
+   the coordinator: its own termination, the executions coalesced into it,
+   and every execution it created — the status-tracing protocol of §IV-C.
 4. Final-level vertices produce :class:`~repro.net.message.ResultReport`
    messages; intermediate ``rtn()`` anchors are confirmed to their owning
    servers via :class:`~repro.net.message.SuccessReport`, which forward the
@@ -84,10 +84,10 @@ class PendingWork:
     entries: Entries
     exec_id: ExecId
     all_sources: bool = False
-    #: (exec id, epoch) of the requests coalesced into this unit; they
-    #: report termination with the unit, so a unit lost in a crash leaves
-    #: them pending for the coordinator to replay from their creators
-    absorbed_execs: list[tuple[ExecId, int]] = field(default_factory=list)
+    #: exec ids of the requests coalesced into this unit; they report
+    #: termination with the unit, so a unit lost in a crash leaves them
+    #: pending for the coordinator to replay from their creators
+    absorbed_execs: list[ExecId] = field(default_factory=list)
     enqueued_at: float = 0.0
     #: coordinator epoch echoed from the request that opened the unit
     epoch: int = 0
@@ -172,7 +172,6 @@ class AsyncServerEngine:
 
     def _on_request(self, msg: TraverseRequest) -> None:
         server = self.ctx.server_id
-        self.metrics.count("engine.requests", server=server)
         self.trace.record(
             "exec.received",
             travel_id=msg.travel_id,
@@ -185,6 +184,7 @@ class AsyncServerEngine:
         if entry is None or entry.attempt != msg.attempt:
             # Stale attempt: terminate the execution so old accounting
             # quiesces; the coordinator ignores reports from old attempts.
+            self.metrics.count("engine.requests", server=server)
             self.metrics.count("engine.stale_requests", server=server)
             self._record_terminated(msg.travel_id, msg.exec_id, msg.level, msg.attempt, "stale")
             self._report_status(
@@ -200,8 +200,7 @@ class AsyncServerEngine:
             # execution terminates with it, having created nothing.
             merge_entries(work.entries, msg.entries)
             work.all_sources = work.all_sources or msg.all_sources
-            work.absorbed_execs.append((msg.exec_id, msg.epoch))
-            self.metrics.count("engine.coalesced", server=server)
+            work.absorbed_execs.append(msg.exec_id)
             return
         work = PendingWork(
             travel_key=tkey,
@@ -275,13 +274,15 @@ class AsyncServerEngine:
     def _process(self, work: PendingWork):
         travel_id, attempt = work.travel_key
         server = self.ctx.server_id
+        self._count_requests(work)
         entry = self.registry.get(travel_id)
         if entry is None or entry.attempt != attempt:
             self._record_terminated(travel_id, work.exec_id, work.level, attempt, "stale")
             self._report_status(
-                travel_id, attempt, work.exec_id, (), 0, work.level, epoch=work.epoch
+                travel_id, attempt, work.exec_id, (), 0, work.level,
+                epoch=work.epoch,
+                absorbed=self._terminate_absorbed(work, "stale"),
             )
-            self._terminate_absorbed(work, "stale")
             return
         plan = entry.plan
         level = work.level
@@ -343,18 +344,28 @@ class AsyncServerEngine:
         self._report_status(
             travel_id, attempt, work.exec_id, tuple(created), results_sent, level,
             epoch=entry.epoch,
+            absorbed=self._terminate_absorbed(work, "coalesced"),
         )
-        self._terminate_absorbed(work, "coalesced")
 
-    def _terminate_absorbed(self, work: PendingWork, reason: str) -> None:
-        """Report the executions coalesced into ``work`` as terminated, now
-        that the unit carrying their entries has been processed."""
+    def _count_requests(self, work: PendingWork) -> None:
+        """Count a unit's requests once: its own plus the absorbed ones."""
+        server = self.ctx.server_id
+        self.metrics.count("engine.requests", 1 + work.absorbed, server=server)
+        if work.absorbed:
+            self.metrics.count("engine.coalesced", work.absorbed, server=server)
+
+    def _terminate_absorbed(self, work: PendingWork, reason: str) -> tuple[ExecId, ...]:
+        """Terminate the executions coalesced into ``work``, now that the
+        unit carrying their entries has been processed; returns the ids the
+        unit's report carries. They share the unit's attempt, so a report
+        the coordinator fences or finds stale drops them all together."""
         travel_id, attempt = work.travel_key
-        for exec_id, epoch in work.absorbed_execs:
-            self._record_terminated(travel_id, exec_id, work.level, attempt, reason)
-            self._report_status(
-                travel_id, attempt, exec_id, (), 0, work.level, epoch=epoch
+        for exec_id in work.absorbed_execs:
+            self._record_terminated(
+                travel_id, exec_id, work.level, attempt, reason,
+                absorbed_into=work.exec_id,
             )
+        return tuple(work.absorbed_execs)
 
     def _level0_override(
         self, work: PendingWork, entry: TravelEntry
@@ -631,6 +642,7 @@ class AsyncServerEngine:
         level: Optional[int],
         *,
         epoch: int = 0,
+        absorbed: tuple[ExecId, ...] = (),
     ) -> None:
         # The per-traversal ``executions`` statistic is counted by the
         # coordinator on *fresh* terminations only — counting here would
@@ -647,6 +659,7 @@ class AsyncServerEngine:
                 results_sent=results_sent,
                 level=level,
                 attempt=attempt,
+                absorbed=absorbed,
             ),
         )
 
@@ -657,7 +670,7 @@ class AsyncServerEngine:
         completion (in-process cleanup; costs no simulated time)."""
         self.seen.forget_travel_prefix(travel_id)
         for key in [k for k in self._pending if k[0][0] == travel_id]:
-            del self._pending[key]
+            self._count_requests(self._pending.pop(key))
         for key in [k for k in self._rtn_forwarded if k[0][0] == travel_id]:
             del self._rtn_forwarded[key]
         for key in [k for k in self._sent if k[0] == travel_id]:
@@ -667,7 +680,10 @@ class AsyncServerEngine:
         """Crash-model hook: lose every piece of in-memory traversal state
         (pending work, affiliate cache, RTN dedup, replay buffers). LSM
         storage survives by design. Queued keys whose pending entry vanished
-        are no-ops in the worker, so workers survive the crash."""
+        are no-ops in the worker, so workers survive the crash. The dropped
+        units' requests are counted here, as processing would have."""
+        for work in self._pending.values():
+            self._count_requests(work)
         self._pending.clear()
         self._rtn_forwarded.clear()
         self._sent.clear()

@@ -2,7 +2,7 @@
 
 Every traversal execution is logged at the coordinator: creation events come
 inside the parent's :class:`~repro.net.message.ExecStatus` (which also
-terminates the parent), so
+terminates the parent and every execution coalesced into its work unit), so
 
 * a traversal is complete when every created execution has terminated **and**
   every declared result message has arrived;
@@ -66,29 +66,41 @@ class ExecTracker:
             return
         self.pending[eid] = (server, level, origin)
 
-    def on_status(self, msg: ExecStatus, now: float) -> bool:
-        """Apply one status report; True when it terminated a new execution.
+    def on_status(self, msg: ExecStatus, now: float) -> int:
+        """Apply one status report; returns how many executions it freshly
+        terminated: the unit's own execution plus its ``absorbed`` ones.
 
-        Duplicate reports (from replayed executions) and stale attempts
-        return False so callers do not double-count work — the per-traversal
-        ``executions`` statistic is incremented only on fresh terminations.
+        Each id is applied as its own termination — fresh, duplicate (from a
+        replayed execution) or early — so a replayed unit can still carry
+        fresh absorbed ids. Duplicates and stale attempts add nothing, and
+        the per-traversal ``executions`` statistic is incremented by the
+        fresh count only.
         """
         if msg.attempt != self.attempt:
-            return False  # stale report from a failed attempt
+            return 0  # stale report from a failed attempt
         self.last_activity = now
-        if msg.exec_id in self.terminated_ids or msg.exec_id in self.early_terminated:
-            return False  # duplicate report from a replayed execution
-        for eid, server, level in msg.created:
-            self._register(eid, server, level, origin=msg.server)
-        self.results_expected += msg.results_sent
-        if msg.exec_id in self.pending:
-            del self.pending[msg.exec_id]
+        fresh = 0
+        if self._terminate(msg.exec_id):
+            for eid, server, level in msg.created:
+                self._register(eid, server, level, origin=msg.server)
+            self.results_expected += msg.results_sent
+            fresh = 1
+        for eid in msg.absorbed:
+            fresh += self._terminate(eid)
+        return fresh
+
+    def _terminate(self, eid: ExecId) -> bool:
+        """Mark ``eid`` terminated; False for a duplicate report."""
+        if eid in self.terminated_ids or eid in self.early_terminated:
+            return False
+        if eid in self.pending:
+            del self.pending[eid]
             self.terminated_total += 1
-            self.terminated_ids.add(msg.exec_id)
+            self.terminated_ids.add(eid)
         else:
             # Termination outracing the parent's creation report; _register
             # reconciles when the creation arrives.
-            self.early_terminated.add(msg.exec_id)
+            self.early_terminated.add(eid)
         return True
 
     def on_result(self, now: float) -> None:

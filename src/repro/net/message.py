@@ -82,11 +82,13 @@ class TraverseRequest(Message):
 
 @dataclass
 class ExecStatus(Message):
-    """An execution's termination report plus the executions it created.
+    """A work unit's termination report plus the executions it created.
 
     The coordinator marks ``exec_id`` terminated, registers every
     ``created`` pair (exec id, target server), and expects
     ``results_sent`` result-bearing messages to eventually arrive.
+    ``absorbed`` are the executions coalesced into the unit: they terminate
+    with it and created nothing, so one report carries them all.
     """
 
     exec_id: ExecId = 0
@@ -96,10 +98,11 @@ class ExecStatus(Message):
     results_sent: int = 0
     level: Optional[int] = None  # level the execution worked at (progress)
     attempt: int = 0
+    absorbed: tuple[ExecId, ...] = ()
 
     @property
     def nbytes(self) -> int:
-        return _HEADER_BYTES + 20 * len(self.created)
+        return _HEADER_BYTES + 20 * len(self.created) + 8 * len(self.absorbed)
 
 
 @dataclass

@@ -157,8 +157,9 @@ class SimRuntime(Runtime):
         handler = self._handlers.get(dst)
         if handler is None:
             raise SimulationError(f"no handler registered for server {dst}")
-        delay = self.network.latency(src, dst, msg.nbytes) + verdict.extra_delay
-        self._schedule_arrivals(handler, msg, delay, verdict)
+        nbytes = msg.nbytes
+        delay = self.network.latency(src, dst, nbytes) + verdict.extra_delay
+        self._schedule_arrivals(handler, msg, delay, verdict, nbytes)
 
     def raw_deliver_to_coordinator(self, src: ServerId, msg: Message) -> None:
         if self._coordinator_handler is None:
@@ -166,16 +167,19 @@ class SimRuntime(Runtime):
         verdict = self._wire_verdict(src, COORDINATOR, msg)
         if verdict.drop:
             return
+        nbytes = msg.nbytes
         delay = (
-            self.network.latency(src, self.coordinator_server, msg.nbytes)
+            self.network.latency(src, self.coordinator_server, nbytes)
             + verdict.extra_delay
         )
-        self._schedule_arrivals(self._coordinator_handler, msg, delay, verdict)
+        self._schedule_arrivals(self._coordinator_handler, msg, delay, verdict, nbytes)
 
-    def _schedule_arrivals(self, handler, msg: Message, delay: float, verdict) -> None:
+    def _schedule_arrivals(
+        self, handler, msg: Message, delay: float, verdict, nbytes: int
+    ) -> None:
         copies = 1 + verdict.duplicates
         self.messages_sent += copies
-        self.bytes_sent += msg.nbytes * copies
+        self.bytes_sent += nbytes * copies
         self.sim.schedule(delay, lambda: handler(msg))
         for i in range(verdict.duplicates):
             self._count("faults.duplicated")

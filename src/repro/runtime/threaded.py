@@ -311,8 +311,9 @@ class ThreadRuntime(Runtime):
         handler = self._handlers.get(dst)
         if handler is None:
             raise SimulationError(f"no handler registered for server {dst}")
-        delay = self.network.latency(src, dst, msg.nbytes) + verdict.extra_delay
-        self._schedule_arrivals(dst, handler, msg, delay, verdict)
+        nbytes = msg.nbytes
+        delay = self.network.latency(src, dst, nbytes) + verdict.extra_delay
+        self._schedule_arrivals(dst, handler, msg, delay, verdict, nbytes)
 
     def raw_deliver_to_coordinator(self, src: ServerId, msg: Message) -> None:
         if self._coordinator_handler is None:
@@ -324,18 +325,19 @@ class ThreadRuntime(Runtime):
         if verdict.drop:
             return
         dst = self.coordinator_server
-        delay = (
-            self.network.latency(src, dst, msg.nbytes) + verdict.extra_delay
+        nbytes = msg.nbytes
+        delay = self.network.latency(src, dst, nbytes) + verdict.extra_delay
+        self._schedule_arrivals(
+            dst, self._coordinator_handler, msg, delay, verdict, nbytes
         )
-        self._schedule_arrivals(dst, self._coordinator_handler, msg, delay, verdict)
 
     def _schedule_arrivals(
-        self, dst: ServerId, handler, msg: Message, delay: float, verdict
+        self, dst: ServerId, handler, msg: Message, delay: float, verdict, nbytes: int
     ) -> None:
         copies = 1 + verdict.duplicates
         with self._count_lock:
             self.messages_sent += copies
-            self.bytes_sent += msg.nbytes * copies
+            self.bytes_sent += nbytes * copies
         self.schedule(delay, lambda: self._dispatch(dst, handler, msg))
         for i in range(verdict.duplicates):
             self._count("faults.duplicated")

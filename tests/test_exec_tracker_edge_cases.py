@@ -29,11 +29,11 @@ class TestReordering:
         tracker = ExecTracker()
         tracker.register_initial([(1, 0, 0)], now=0.0)
         # child 2's termination arrives first: parked as early-terminated
-        assert tracker.on_status(status(2), now=1.0) is True
+        assert tracker.on_status(status(2), now=1.0) == 1
         assert not tracker.complete
         assert 2 in tracker.early_terminated
         # parent 1 terminates and registers child 2's creation: reconciled
-        assert tracker.on_status(status(1, created=[(2, 1, 1)]), now=2.0) is True
+        assert tracker.on_status(status(1, created=[(2, 1, 1)]), now=2.0) == 1
         assert tracker.complete
         assert tracker.created_total == 2
         assert tracker.terminated_total == 2
@@ -42,10 +42,10 @@ class TestReordering:
     def test_creation_report_of_already_terminated_child_not_recounted(self):
         tracker = ExecTracker()
         tracker.register_initial([(1, 0, 0), (3, 1, 0)], now=0.0)
-        assert tracker.on_status(status(1, created=[(2, 1, 1)]), now=1.0) is True
-        assert tracker.on_status(status(2), now=2.0) is True
+        assert tracker.on_status(status(1, created=[(2, 1, 1)]), now=1.0) == 1
+        assert tracker.on_status(status(2), now=2.0) == 1
         # a replayed parent repeats the creation of (already terminated) 2
-        assert tracker.on_status(status(1, created=[(2, 1, 1)]), now=3.0) is False
+        assert tracker.on_status(status(1, created=[(2, 1, 1)]), now=3.0) == 0
         assert tracker.created_total == 3  # 1, 3, and 2 — each exactly once
         assert tracker.terminated_total == 2
 
@@ -54,9 +54,9 @@ class TestDuplicateTerminations:
     def test_duplicate_after_replay_returns_false(self):
         tracker = ExecTracker()
         tracker.register_initial([(1, 0, 0)], now=0.0)
-        assert tracker.on_status(status(1), now=1.0) is True
+        assert tracker.on_status(status(1), now=1.0) == 1
         # the replayed execution reports termination a second time
-        assert tracker.on_status(status(1), now=2.0) is False
+        assert tracker.on_status(status(1), now=2.0) == 0
         assert tracker.terminated_total == 1
         assert tracker.complete
 
@@ -67,7 +67,7 @@ class TestDuplicateTerminations:
         before = tracker.snapshot()
         assert tracker.on_status(
             status(1, created=[(2, 1, 1)], results=1), now=2.0
-        ) is False
+        ) == 0
         assert tracker.snapshot() == before, (
             "a duplicate report must not change any accounting"
         )
@@ -75,8 +75,8 @@ class TestDuplicateTerminations:
     def test_duplicate_of_early_terminated_exec_returns_false(self):
         tracker = ExecTracker()
         tracker.register_initial([(1, 0, 0)], now=0.0)
-        assert tracker.on_status(status(2), now=1.0) is True  # early
-        assert tracker.on_status(status(2), now=2.0) is False  # replayed dup
+        assert tracker.on_status(status(2), now=1.0) == 1  # early
+        assert tracker.on_status(status(2), now=2.0) == 0  # replayed dup
         tracker.on_status(status(1, created=[(2, 1, 1)]), now=3.0)
         # the duplicate must not have left a second early-termination behind
         assert tracker.complete
@@ -85,7 +85,7 @@ class TestDuplicateTerminations:
     def test_stale_attempt_ignored(self):
         tracker = ExecTracker(attempt=1)
         tracker.register_initial([(5, 0, 0)], now=10.0)
-        assert tracker.on_status(status(5, attempt=0), now=11.0) is False
+        assert tracker.on_status(status(5, attempt=0), now=11.0) == 0
         assert tracker.last_activity == 10.0  # stale reports are not activity
         assert 5 in tracker.pending
 

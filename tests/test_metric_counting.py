@@ -11,7 +11,11 @@ the threaded runtime. These tests pin what must not change with that:
   served is exactly one real visit or one affiliate-cache hit;
 * the telemetry plane's windowed rollups sum to the registry totals;
 * on the threaded runtime with 4 workers per server the counters still sum
-  to the traversal's own statistics.
+  to the traversal's own statistics;
+* ``engine.requests``/``engine.coalesced``, counted once per unit (units a
+  crash drops are counted by the crash), total the ``TraverseRequest``s the
+  engines received: on a clean run, across a mid-traversal server crash,
+  and on the threaded runtime.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, CoordinatorConfig
 from repro.engine import EngineKind, ReferenceEngine, graphtrek_options
+from repro.faults.plan import CrashEvent, FaultPlan
 from repro.lang import GTravel
 from repro.obs.telemetry import TelemetryConfig
 from repro.workloads import paper_rmat1, pick_start_vertex, rmat_graph, rmat_kstep_query
@@ -118,6 +123,56 @@ def test_telemetry_rollups_sum_to_registry_totals(rmat):
     assert checked > 0
 
 
+def _assert_request_totals(cluster) -> None:
+    """``engine.requests`` equals the TraverseRequests delivered to the
+    engines (``exec.received`` of every execution not created as an rtn
+    SuccessReport), and ``engine.coalesced`` those that joined a unit."""
+    events = cluster.board.obs.trace.events()
+    rtn = {ev.exec_id for ev in events if ev.kind == "exec.created" and ev.attrs.get("edge") == "rtn"}
+    received = sum(1 for ev in events if ev.kind == "exec.received" and ev.exec_id not in rtn)
+    units = sum(
+        1 for ev in events if ev.kind == "exec.terminated" and "absorbed_into" not in ev.attrs
+        and ev.exec_id not in rtn
+    )
+    metrics = cluster.board.obs.metrics
+    assert metrics.counter_total("engine.requests") == received
+    coalesced = metrics.counter_total("engine.coalesced")
+    assert coalesced > 0
+    # a delivered request opens a unit or joins one; units a crash dropped
+    # never terminate
+    if metrics.counter_total("engine.crashes"):
+        assert coalesced <= received - units
+    else:
+        assert coalesced == received - units
+
+
+@pytest.mark.parametrize("case", ("clean", "crash"))
+def test_request_totals_equal_delivered_requests(rmat, case):
+    graph, plans = rmat
+    cfg = {}
+    if case == "crash":
+        # late enough that server 1 holds queued units with absorbed
+        # requests, which the crash drops
+        _, (clean,) = _run(graph, plans[:1], "columnar")
+        span = clean.stats.elapsed
+        at = 0.7 * span
+        cfg = dict(
+            fault_plan=FaultPlan(
+                seed=0, crashes=[CrashEvent(1, at=at, recover_at=at + 0.1 * span)]
+            ),
+            reliable=True,
+            coordinator_config=CoordinatorConfig(
+                exec_timeout=span, watch_interval=0.1 * span,
+                fine_grained_recovery=True,
+            ),
+        )
+    cluster, outcomes = _run(graph, plans[:1], "columnar", **cfg)
+    assert outcomes[0].result.same_vertices(ReferenceEngine(graph).run(plans[0]))
+    if case == "crash":
+        assert cluster.board.obs.metrics.counter_total("engine.crashes") == 1
+    _assert_request_totals(cluster)
+
+
 def test_threaded_runtime_counters_sum_under_4_workers(rmat):
     graph, plans = rmat
     plan = plans[0]
@@ -128,6 +183,7 @@ def test_threaded_runtime_counters_sum_under_4_workers(rmat):
             engine=graphtrek_options(workers=4),
             runtime="threaded",
             coordinator_config=CoordinatorConfig(exec_timeout=1e6, watch_interval=50.0),
+            trace_enabled=True,
         ),
     )
     try:
@@ -140,3 +196,4 @@ def test_threaded_runtime_counters_sum_under_4_workers(rmat):
     assert metrics.counter_total("cache.affiliate_hits") == outcome.stats.redundant_visits
     assert metrics.counter_total("engine.merged_items") == outcome.stats.combined_visits
     assert outcome.stats.real_io_visits > 0
+    _assert_request_totals(cluster)
